@@ -43,6 +43,29 @@ class Linkage:
         """Merge heights in agglomeration order."""
         return np.array([m.height for m in self.merges])
 
+    def size(self, node: int) -> int:
+        """Number of points under cluster id ``node``."""
+        return 1 if node < self.n else self.merges[node - self.n].size
+
+    def leaf_order(self) -> np.ndarray:
+        """Points in dendrogram order: every subtree is one contiguous run.
+
+        Within each merge the ``left`` subtree precedes the ``right``
+        one, so the subtree of a merge starting at offset ``s`` covers
+        ``s .. s + size - 1`` and its right child starts at
+        ``s + size(left)``.
+        """
+        order: list[int] = []
+        stack = [self.n + len(self.merges) - 1]
+        while stack:
+            node = stack.pop()
+            if node < self.n:
+                order.append(node)
+            else:
+                merge = self.merges[node - self.n]
+                stack.extend((merge.right, merge.left))
+        return np.array(order, dtype=int)
+
 
 def _check_distance_matrix(dist: np.ndarray) -> np.ndarray:
     d = np.asarray(dist, dtype=float)
@@ -50,9 +73,12 @@ def _check_distance_matrix(dist: np.ndarray) -> np.ndarray:
         raise ValueError(f"distance matrix must be square, got {d.shape}")
     if d.shape[0] == 0:
         raise ValueError("distance matrix must be non-empty")
-    if not np.allclose(d, d.T, atol=1e-9):
+    if not np.isfinite(d).all():
+        raise ValueError("distance matrix must be finite")
+    # np.allclose(d, d.T, atol=1e-9) spelled out: same test, less overhead.
+    if (np.abs(d - d.T) > 1e-9 + 1e-5 * np.abs(d.T)).any():
         raise ValueError("distance matrix must be symmetric")
-    if (np.diag(d) > 1e-9).any():
+    if (d.diagonal() > 1e-9).any():
         raise ValueError("distance matrix must have a zero diagonal")
     return d
 
@@ -80,43 +106,41 @@ def agglomerate(dist: np.ndarray, method: str = "complete") -> Linkage:
     if n == 1:
         return Linkage(n=1, merges=[])
 
-    # active[i] maps matrix row i to its current cluster id; sizes track
-    # member counts for average linkage.
+    # Rows keep their original positions: a merged cluster lives in the
+    # lower of its two rows and the other row/column is retired to +inf.
+    # Retired entries never win the argmin, so the row-major scan visits
+    # the live entries in the same order a shrinking matrix would and
+    # ties break identically. active[i] maps row i to its cluster id;
+    # sizes track member counts for average linkage.
     active = list(range(n))
     sizes = [1] * n
     np.fill_diagonal(d, np.inf)
     merges: list[Merge] = []
-    next_id = n
 
-    for _ in range(n - 1):
-        flat = int(np.argmin(d))
-        i, j = divmod(flat, d.shape[0])
+    for next_id in range(n, 2 * n - 1):
+        i, j = divmod(int(d.argmin()), n)
         if i > j:
             i, j = j, i
-        height = float(d[i, j])
+        row_i, row_j = d[i], d[j]
         size = sizes[i] + sizes[j]
-        merges.append(Merge(left=active[i], right=active[j], height=height, size=size))
+        merges.append(Merge(active[i], active[j], float(row_i[j]), size))
 
-        # Lance-Williams update of row i to represent the merged cluster.
+        # Lance-Williams update of row i, in place, to represent the
+        # merged cluster.
         if method == "complete":
-            merged_row = np.maximum(d[i], d[j])
+            np.maximum(row_i, row_j, out=row_i)
         elif method == "single":
-            merged_row = np.minimum(d[i], d[j])
+            np.minimum(row_i, row_j, out=row_i)
         else:  # average
-            merged_row = (sizes[i] * d[i] + sizes[j] * d[j]) / size
-        d[i, :] = merged_row
-        d[:, i] = merged_row
-        d[i, i] = np.inf
+            row_i *= sizes[i]
+            row_i += sizes[j] * row_j
+            row_i /= size
+        row_i[i] = row_i[j] = np.inf
+        d[:, i] = row_i
+        row_j.fill(np.inf)
+        d[:, j] = np.inf
         active[i] = next_id
         sizes[i] = size
-        next_id += 1
-
-        # Drop row/column j.
-        keep = np.ones(d.shape[0], dtype=bool)
-        keep[j] = False
-        d = d[np.ix_(keep, keep)]
-        del active[j]
-        del sizes[j]
 
     return Linkage(n=n, merges=merges)
 

@@ -9,6 +9,15 @@ complete-linkage, always trying a 2-way split first:
 * otherwise both halves are split recursively until no group can be
   split further.
 
+The whole recursion reads its splits off **one** complete-linkage
+dendrogram of the motif. That is exact, not an approximation: a
+subtree's members merge only among themselves until the subtree is
+complete, a complete-linkage height is the maximum of original entries
+(so it does not depend on merge order), and ties break by row-major
+position, whose order a subset keeps. Agglomerating a group's own
+sub-block therefore reproduces its subtree merge for merge, and the
+group's top split is the subtree's last merge.
+
 Groups smaller than the support threshold ``γ · |class|`` are discarded
 by the caller; surviving groups are summarized by their **centroid**
 (the mean of the z-normalized, length-aligned members) or **medoid**
@@ -25,7 +34,7 @@ import numpy as np
 from ..distance.euclidean import pairwise_euclidean
 from ..obs.tracer import NOOP
 from ..sax.znorm import znorm, znorm_rows
-from .linkage import agglomerate, cut_k
+from .linkage import agglomerate
 
 __all__ = [
     "RefinedCluster",
@@ -72,8 +81,9 @@ class RefinedCluster:
         """
         if self.size < 2:
             return np.empty(0)
-        iu = np.triu_indices(self.size, k=1)
-        return self.pairwise[iu]
+        # Strict upper triangle in row-major order, as np.triu_indices
+        # would index it.
+        return self.pairwise[~np.tri(self.size, dtype=bool)]
 
 
 def align_subsequences(
@@ -115,6 +125,10 @@ def bisect_refine(
 ) -> list[RefinedCluster]:
     """Recursively 2-way split an aligned member matrix (paper §3.2.2).
 
+    The motif is agglomerated once (when it has more than
+    ``min_group_size`` members) and every level's split is read off that
+    dendrogram (see the module docstring for why this is exact).
+
     Parameters
     ----------
     aligned:
@@ -149,14 +163,12 @@ def bisect_refine(
     if aligned.ndim != 2:
         raise ValueError(f"aligned must be 2-D, got {aligned.shape}")
     n = aligned.shape[0]
-    if pairwise is None:
-        full_pairwise = pairwise_euclidean(aligned)
-    else:
-        full_pairwise = np.asarray(pairwise, dtype=float)
-        if full_pairwise.shape != (n, n):
-            raise ValueError(
-                f"pairwise must be ({n}, {n}) to match aligned, got {full_pairwise.shape}"
-            )
+    if pairwise is not None:
+        pairwise = np.asarray(pairwise, dtype=float)
+        if pairwise.shape != (n, n):
+            raise ValueError(f"pairwise must be ({n}, {n}) to match aligned, got {pairwise.shape}")
+    if min_group_size < 1:
+        raise ValueError(f"min_group_size must be >= 1, got {min_group_size}")
     out: list[RefinedCluster] = []
     n_splits = 0
 
@@ -169,34 +181,46 @@ def bisect_refine(
             )
         )
 
-    def recurse(indices: np.ndarray) -> None:
+    def recurse(indices: np.ndarray, block: np.ndarray, node: int, offset: int) -> None:
         nonlocal n_splits
         group_size = indices.size
-        block = full_pairwise[np.ix_(indices, indices)]
         if group_size <= min_group_size:
             emit(indices, block)
             return
-        labels = cut_k(agglomerate(block, method="complete"), 2)
-        left = indices[labels == 0]
-        right = indices[labels == 1]
-        smaller = min(left.size, right.size)
+        merge = dendrogram.merges[node - n]
+        boundary = offset + dendrogram.size(merge.left)
+        # agglomerate keeps a merged cluster in its lower row, so the
+        # left side holds the group's first member and is split first,
+        # as with cut_k's first-appearance labels.
+        in_left = position[indices] < boundary
+        sides = ((merge.left, offset, in_left), (merge.right, boundary, ~in_left))
+        smaller = min(dendrogram.size(merge.left), dendrogram.size(merge.right))
         if smaller < min_split_fraction * group_size:
             emit(indices, block)
             return
+        children = []
+        for child, child_offset, mask in sides:
+            local = np.flatnonzero(mask)
+            children.append((indices[local], block[np.ix_(local, local)], child, child_offset))
         parent_diameter = block.max()
-        child_diameter = max(
-            full_pairwise[np.ix_(left, left)].max(),
-            full_pairwise[np.ix_(right, right)].max(),
-        )
+        child_diameter = max(children[0][1].max(), children[1][1].max())
         if parent_diameter <= 0 or child_diameter > max_child_diameter_ratio * parent_diameter:
             emit(indices, block)
             return
         n_splits += 1
-        recurse(left)
-        recurse(right)
+        for child in children:
+            recurse(*child)
 
     with tracer.span("bisect") as span:
-        recurse(np.arange(n))
+        full_pairwise = pairwise_euclidean(aligned) if pairwise is None else pairwise
+        # In leaf order every subtree is one contiguous run, so a group's
+        # two sides are told apart by their members' positions in it.
+        if n > min_group_size:
+            dendrogram = agglomerate(full_pairwise, method="complete")
+            position = np.empty(n, dtype=int)
+            position[dendrogram.leaf_order()] = np.arange(n)
+        root = np.arange(n)
+        recurse(root, full_pairwise[np.ix_(root, root)], 2 * n - 2, 0)  # root cluster id
         span.add("bisect.members", n)
         span.add("bisect.splits", n_splits)
         span.add("bisect.clusters", len(out))

@@ -6,6 +6,11 @@ its variable-length raw subsequences, refine each rule's subsequence
 group with iterative bisecting complete-linkage clustering, drop
 clusters below the γ support threshold, and emit each surviving
 cluster's centroid (or medoid) as a candidate pattern.
+
+Bisection only ever shrinks a group, so a rule whose occurrences
+already cover fewer than ``γ·|class|`` instances (or occurrences, in
+``'occurrences'`` mode) is skipped before alignment: none of its
+clusters could survive, and τ is built from survivors alone.
 """
 
 from __future__ import annotations
@@ -76,9 +81,11 @@ def find_class_candidates(
     tracer:
         An :class:`~repro.obs.tracer.Tracer` recording the
         ``discretize`` / ``grammar`` / ``refine`` stage spans (the
-        shared no-op by default). Candidate counts additionally go to
-        the process-wide metrics registry (``candidates.generated``,
-        ``candidates.dropped_support``, ``grammar.rules``).
+        shared no-op by default), with ``align`` / ``bisect`` /
+        ``prototype`` children under ``refine``. Candidate counts
+        additionally go to the process-wide metrics registry
+        (``candidates.generated``, ``candidates.dropped_support``,
+        ``candidates.skipped_support``, ``grammar.rules``).
     discretize_cache:
         Optional :class:`~repro.runtime.DiscretizationCache`. The
         parameter search re-mines the same concatenated class series
@@ -113,12 +120,19 @@ def find_class_candidates(
 
         candidates: list[PatternCandidate] = []
         dropped_support = 0
+        skipped_support = 0
         with tracer.span("refine") as refine_span:
             for motif in motifs:
-                subsequences = _occurrence_subsequences(series, motif)
-                if len(subsequences) < 2:
+                if motif.frequency < 2:
                     continue
-                aligned = align_subsequences(subsequences)
+                # Bisection only shrinks coverage, so a motif already
+                # below support cannot yield a surviving cluster.
+                coverage = motif.support if support_mode == "instances" else motif.frequency
+                if coverage < min_support:
+                    skipped_support += 1
+                    continue
+                with tracer.span("align"):
+                    aligned = align_subsequences(_occurrence_subsequences(series, motif))
                 clusters = bisect_refine(
                     aligned, min_split_fraction=min_split_fraction, tracer=tracer
                 )
@@ -134,11 +148,13 @@ def find_class_candidates(
                     if measure < min_support:
                         dropped_support += 1
                         continue
-                    values = (
-                        centroid_of(cluster)
-                        if prototype == "centroid"
-                        else medoid_of(cluster)
-                    )
+                    with tracer.span("prototype"):
+                        values = (
+                            centroid_of(cluster)
+                            if prototype == "centroid"
+                            else medoid_of(cluster)
+                        )
+                        within = cluster.within_distances()
                     candidates.append(
                         PatternCandidate(
                             values=values,
@@ -148,13 +164,15 @@ def find_class_candidates(
                             rule_id=motif.rule_id,
                             words=motif.words,
                             sax_params=params,
-                            within_distances=cluster.within_distances(),
+                            within_distances=within,
                         )
                     )
             refine_span.add("candidates.generated", len(candidates))
             refine_span.add("candidates.dropped_support", dropped_support)
+            refine_span.add("candidates.skipped_support", skipped_support)
     metrics.inc("candidates.generated", len(candidates))
     metrics.inc("candidates.dropped_support", dropped_support)
+    metrics.inc("candidates.skipped_support", skipped_support)
     return candidates
 
 

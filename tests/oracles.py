@@ -1,4 +1,10 @@
-"""Shared distance oracles and tolerance-aware assert helpers.
+"""Shared reference oracles and tolerance-aware assert helpers.
+
+Two families live here: the distance oracles below, and the
+refinement oracles at the end of the module (a copy-shrinking
+agglomeration and a bisection that re-agglomerates every group), which
+the single-dendrogram refinement in :mod:`repro.cluster` must match
+bit for bit.
 
 The optimized kernels (mat-vec and FFT alike) are pinned against the
 one implementation slow enough to be obviously correct: z-normalize
@@ -25,6 +31,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.linkage import Linkage, Merge, _check_distance_matrix, cut_k
+from repro.cluster.refine import (
+    MAX_CHILD_DIAMETER_RATIO,
+    MIN_SPLIT_FRACTION,
+    RefinedCluster,
+    align_subsequences,
+    centroid_of,
+    medoid_of,
+)
+from repro.core.patterns import PatternCandidate
+from repro.distance.euclidean import pairwise_euclidean
+from repro.grammar.inference import discretize_class, induce_motifs
 from repro.runtime.kernel import resample_pattern, tie_break_argmin_rows
 from repro.sax.znorm import znorm
 
@@ -37,6 +55,9 @@ __all__ = [
     "naive_best_distances",
     "assert_profiles_close",
     "assert_argmin_equal",
+    "shrinking_agglomerate",
+    "recursive_bisect_refine",
+    "refine_every_motif",
 ]
 
 #: Shared tolerance model for cross-backend distance comparisons.
@@ -160,3 +181,142 @@ def assert_argmin_equal(
     a = tie_break_argmin_rows(np.atleast_2d(np.asarray(actual_profiles)))
     b = tie_break_argmin_rows(np.atleast_2d(np.asarray(expected_profiles)))
     np.testing.assert_array_equal(a, b, err_msg=err_msg or "argmin positions diverged")
+
+
+# -- refinement oracles ------------------------------------------------------
+
+
+def shrinking_agglomerate(dist: np.ndarray, method: str = "complete") -> Linkage:
+    """Lance-Williams agglomeration that deletes each merged row/column.
+
+    The straightforward form of :func:`repro.cluster.linkage.agglomerate`:
+    after every merge the matrix is rebuilt without the absorbed row and
+    column, so the argmin scans only live clusters. The production code
+    retires rows in place instead; merges and heights must be identical.
+    """
+    d = _check_distance_matrix(dist).copy()
+    n = d.shape[0]
+    if n == 1:
+        return Linkage(n=1, merges=[])
+    active = list(range(n))
+    sizes = [1] * n
+    np.fill_diagonal(d, np.inf)
+    merges: list[Merge] = []
+    next_id = n
+    for _ in range(n - 1):
+        i, j = divmod(int(np.argmin(d)), d.shape[0])
+        if i > j:
+            i, j = j, i
+        size = sizes[i] + sizes[j]
+        merges.append(Merge(left=active[i], right=active[j], height=float(d[i, j]), size=size))
+        if method == "complete":
+            merged_row = np.maximum(d[i], d[j])
+        elif method == "single":
+            merged_row = np.minimum(d[i], d[j])
+        else:
+            merged_row = (sizes[i] * d[i] + sizes[j] * d[j]) / size
+        d[i, :] = merged_row
+        d[:, i] = merged_row
+        d[i, i] = np.inf
+        active[i] = next_id
+        sizes[i] = size
+        next_id += 1
+        keep = np.ones(d.shape[0], dtype=bool)
+        keep[j] = False
+        d = d[np.ix_(keep, keep)]
+        del active[j]
+        del sizes[j]
+    return Linkage(n=n, merges=merges)
+
+
+def recursive_bisect_refine(
+    aligned: np.ndarray,
+    *,
+    min_split_fraction: float = MIN_SPLIT_FRACTION,
+    max_child_diameter_ratio: float = MAX_CHILD_DIAMETER_RATIO,
+    min_group_size: int = 2,
+) -> list[RefinedCluster]:
+    """Bisection refinement that re-agglomerates every group's sub-block.
+
+    The literal reading of paper §3.2.2: each group is clustered on its
+    own and cut in two. :func:`repro.cluster.refine.bisect_refine` reads
+    every split off one dendrogram of the whole motif instead; clusters,
+    their pairwise blocks and ``within_distances`` must be identical.
+    """
+    aligned = np.asarray(aligned, dtype=float)
+    full_pairwise = pairwise_euclidean(aligned)
+    out: list[RefinedCluster] = []
+
+    def recurse(indices: np.ndarray) -> None:
+        group_size = indices.size
+        block = full_pairwise[np.ix_(indices, indices)]
+        if group_size <= min_group_size:
+            out.append(RefinedCluster(indices.tolist(), aligned[indices], block))
+            return
+        labels = cut_k(shrinking_agglomerate(block, method="complete"), 2)
+        left = indices[labels == 0]
+        right = indices[labels == 1]
+        if min(left.size, right.size) < min_split_fraction * group_size:
+            out.append(RefinedCluster(indices.tolist(), aligned[indices], block))
+            return
+        parent_diameter = block.max()
+        child_diameter = max(
+            full_pairwise[np.ix_(left, left)].max(),
+            full_pairwise[np.ix_(right, right)].max(),
+        )
+        if parent_diameter <= 0 or child_diameter > max_child_diameter_ratio * parent_diameter:
+            out.append(RefinedCluster(indices.tolist(), aligned[indices], block))
+            return
+        recurse(left)
+        recurse(right)
+
+    recurse(np.arange(aligned.shape[0]))
+    return out
+
+
+def refine_every_motif(
+    instances,
+    label,
+    params,
+    *,
+    gamma: float = 0.2,
+    prototype: str = "centroid",
+    support_mode: str = "instances",
+) -> tuple[list[PatternCandidate], int]:
+    """Algorithm 1 without the support prefilter: refine, then filter.
+
+    Every motif with two or more occurrences is aligned and bisected
+    (by :func:`recursive_bisect_refine`); only then are clusters below
+    ``γ·|class|`` dropped. Returns the candidates and the number of
+    motifs refined. :func:`repro.core.candidates.find_class_candidates`
+    skips motifs that cannot reach support before refining them; its
+    candidates must equal these exactly.
+    """
+    record, starts, lengths = discretize_class(instances, params)
+    series = np.concatenate([np.asarray(inst, dtype=float).ravel() for inst in instances])
+    min_support = max(2, int(np.ceil(gamma * len(instances))))
+    candidates: list[PatternCandidate] = []
+    refined = 0
+    for motif in induce_motifs(record, starts, lengths):
+        if len(motif.occurrences) < 2:
+            continue
+        refined += 1
+        aligned = align_subsequences([series[occ.start : occ.end] for occ in motif.occurrences])
+        for cluster in recursive_bisect_refine(aligned):
+            covered = {motif.occurrences[i].instance for i in cluster.member_indices}
+            measure = len(covered) if support_mode == "instances" else cluster.size
+            if measure < min_support:
+                continue
+            candidates.append(
+                PatternCandidate(
+                    values=centroid_of(cluster) if prototype == "centroid" else medoid_of(cluster),
+                    label=label,
+                    frequency=cluster.size,
+                    support=len(covered),
+                    rule_id=motif.rule_id,
+                    words=motif.words,
+                    sax_params=params,
+                    within_distances=cluster.within_distances(),
+                )
+            )
+    return candidates, refined

@@ -1,10 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
 from repro.cluster.linkage import agglomerate, cut_k
 from repro.distance.euclidean import pairwise_euclidean
+from tests.oracles import shrinking_agglomerate
+
+#: Points on a coarse integer grid: duplicated rows and equal distances
+#: (exact ties) are common, and all-equal sets occur.
+grid_points = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 14), st.integers(1, 3)),
+    elements=st.integers(-2, 2).map(float),
+)
+real_points = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 14), st.integers(1, 3)),
+    elements=st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+)
 
 
 def _random_distance_matrix(rng, n):
@@ -57,9 +74,67 @@ class TestAgglomerate:
         with pytest.raises(ValueError, match="square"):
             agglomerate(np.zeros((2, 3)))
 
+    def test_rejects_non_finite(self):
+        D = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            agglomerate(D)
+
     def test_rejects_unknown_method(self, rng):
         with pytest.raises(ValueError, match="method"):
             agglomerate(_random_distance_matrix(rng, 3), method="ward")
+
+
+def _assert_same_linkage(actual, expected):
+    assert actual.n == expected.n
+    assert actual.merges == expected.merges
+    assert actual.heights().tobytes() == expected.heights().tobytes()
+
+
+class TestInPlaceParity:
+    """In-place agglomeration equals the copy-shrinking oracle bit for bit."""
+
+    @given(st.one_of(grid_points, real_points), st.sampled_from(["complete", "single", "average"]))
+    @settings(max_examples=150, deadline=None)
+    def test_merges_and_heights_identical(self, X, method):
+        D = pairwise_euclidean(X)
+        _assert_same_linkage(agglomerate(D, method), shrinking_agglomerate(D, method))
+
+    @pytest.mark.parametrize("method", ["complete", "single", "average"])
+    def test_duplicated_rows(self, method):
+        X = np.repeat(np.array([[0.0], [1.0], [3.0]]), 3, axis=0)
+        D = pairwise_euclidean(X)
+        _assert_same_linkage(agglomerate(D, method), shrinking_agglomerate(D, method))
+
+    @pytest.mark.parametrize("method", ["complete", "single", "average"])
+    def test_all_equal_rows(self, method):
+        D = np.zeros((6, 6))
+        link = agglomerate(D, method)
+        _assert_same_linkage(link, shrinking_agglomerate(D, method))
+        assert not link.heights().any()
+
+
+class TestLeafOrder:
+    @given(st.one_of(grid_points, real_points))
+    @settings(max_examples=60, deadline=None)
+    def test_every_subtree_is_contiguous(self, X):
+        link = agglomerate(pairwise_euclidean(X))
+        order = link.leaf_order()
+        assert sorted(order.tolist()) == list(range(link.n))
+        position = np.empty(link.n, dtype=int)
+        position[order] = np.arange(link.n)
+        members = {i: [i] for i in range(link.n)}
+        for t, merge in enumerate(link.merges):
+            left, right = members[merge.left], members[merge.right]
+            span = position[left + right]
+            assert span.max() - span.min() + 1 == merge.size == link.size(link.n + t)
+            # The left subtree precedes the right one and holds the
+            # merged cluster's lowest point.
+            assert position[left].max() < position[right].min()
+            assert min(left) < min(right)
+            members[link.n + t] = left + right
+
+    def test_single_point(self):
+        assert agglomerate(np.zeros((1, 1))).leaf_order().tolist() == [0]
 
 
 class TestCutK:

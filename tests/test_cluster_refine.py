@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.cluster import linkage, refine
 from repro.cluster.refine import (
     RefinedCluster,
     align_subsequences,
@@ -8,6 +12,8 @@ from repro.cluster.refine import (
     centroid_of,
     medoid_of,
 )
+from repro.sax.znorm import znorm_rows
+from tests.oracles import recursive_bisect_refine
 
 
 class TestAlignSubsequences:
@@ -98,6 +104,96 @@ class TestBisectRefine:
         with pytest.raises(ValueError, match="2-D"):
             bisect_refine(np.zeros(5))
 
+    def test_rejects_min_group_size_below_one(self):
+        with pytest.raises(ValueError, match="min_group_size"):
+            bisect_refine(np.zeros((3, 5)), min_group_size=0)
+
+
+def _assert_same_clusters(actual, expected):
+    assert len(actual) == len(expected)
+    for a, b in zip(actual, expected):
+        assert a.member_indices == b.member_indices
+        assert a.aligned.tobytes() == b.aligned.tobytes()
+        assert a.pairwise.shape == b.pairwise.shape
+        assert a.pairwise.tobytes() == b.pairwise.tobytes()
+        assert a.within_distances().tobytes() == b.within_distances().tobytes()
+
+
+#: Aligned member matrices built from a few base shapes plus small
+#: integer-grid noise: duplicated rows (exact distance ties) and
+#: several well-separated groups (multi-level splits) are both common.
+@st.composite
+def member_matrices(draw):
+    length = draw(st.integers(3, 8))
+    n_shapes = draw(st.integers(1, 4))
+    bases = draw(
+        arrays(np.float64, (n_shapes, length), elements=st.integers(-3, 3).map(float))
+    )
+    n = draw(st.integers(1, 24))
+    which = draw(arrays(np.int64, n, elements=st.integers(0, n_shapes - 1)))
+    noise = draw(arrays(np.float64, (n, length), elements=st.sampled_from([0.0, 0.0, 0.1, -0.1])))
+    return bases[which] * 2.0 + noise
+
+
+class TestSingleDendrogramParity:
+    """Reading splits off one dendrogram equals re-agglomerating each group."""
+
+    @given(
+        member_matrices(),
+        st.sampled_from([0.0, 0.2, 0.3, 0.45]),
+        st.sampled_from([0.5, 0.8, 1.0]),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_clusters_identical(self, aligned, fraction, ratio, min_group_size):
+        options = dict(
+            min_split_fraction=fraction,
+            max_child_diameter_ratio=ratio,
+            min_group_size=min_group_size,
+        )
+        _assert_same_clusters(
+            bisect_refine(aligned, **options), recursive_bisect_refine(aligned, **options)
+        )
+
+    def test_duplicated_rows(self):
+        t = np.linspace(0, 2 * np.pi, 12)
+        shapes = znorm_rows(np.array([np.sin(t), np.linspace(-1, 1, 12), np.cos(2 * t)]))
+        aligned = np.repeat(shapes, [4, 4, 3], axis=0)[[0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7]]
+        clusters = bisect_refine(aligned)
+        _assert_same_clusters(clusters, recursive_bisect_refine(aligned))
+        assert len(clusters) > 1
+
+    def test_all_equal_rows(self):
+        # Parent diameter 0: the homogeneity stop keeps the group whole.
+        aligned = np.tile(np.arange(6.0), (7, 1))
+        clusters = bisect_refine(aligned)
+        _assert_same_clusters(clusters, recursive_bisect_refine(aligned))
+        assert [c.size for c in clusters] == [7]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_at_most_min_group_size(self, n):
+        aligned = np.random.default_rng(n).standard_normal((n, 5))
+        _assert_same_clusters(
+            bisect_refine(aligned, min_group_size=3),
+            recursive_bisect_refine(aligned, min_group_size=3),
+        )
+
+    def test_agglomerates_once_per_motif(self, monkeypatch):
+        calls = []
+
+        def counting(dist, method="complete"):
+            calls.append(np.asarray(dist).shape[0])
+            return linkage.agglomerate(dist, method)
+
+        monkeypatch.setattr(refine, "agglomerate", counting)
+        aligned = _two_shape_matrix(np.random.default_rng(3), 8, 8)
+        clusters = bisect_refine(aligned)
+        assert len(clusters) >= 2  # the motif split at least once
+        assert calls == [16]
+        calls.clear()
+        bisect_refine(aligned[:2])
+        assert calls == []
+
 
 class TestPrototypes:
     def _cluster(self, rng, n=8, length=16):
@@ -118,6 +214,11 @@ class TestPrototypes:
     def test_within_distances_condensed_size(self, rng):
         cluster = self._cluster(rng, n=6)
         assert cluster.within_distances().size == 6 * 5 // 2
+
+    def test_within_distances_row_major_upper_triangle(self):
+        cluster = self._cluster(np.random.default_rng(7), n=7)
+        expected = cluster.pairwise[np.triu_indices(7, k=1)]
+        assert cluster.within_distances().tobytes() == expected.tobytes()
 
     def test_single_member_no_distances(self, rng):
         cluster = RefinedCluster(
