@@ -18,6 +18,10 @@ fresh, unfitted copy of any estimator without knowing its class.
 :func:`keyword_only` is the one-release migration shim: constructors
 used to accept leading positional arguments, and the decorator keeps
 those calls working while emitting a :class:`DeprecationWarning`.
+
+:func:`check_finite` is the shared input contract for NaN and
+infinity: estimators raise ``ValueError("non-finite: ...")`` and the
+serving layer returns the same ``non-finite`` code as a typed result.
 """
 
 from __future__ import annotations
@@ -29,7 +33,33 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["Estimator", "BaseEstimator", "clone", "keyword_only"]
+__all__ = [
+    "NON_FINITE",
+    "Estimator",
+    "BaseEstimator",
+    "check_finite",
+    "clone",
+    "keyword_only",
+    "non_finite_message",
+]
+
+#: Reason code for an input holding NaN or infinity. Serving rejects
+#: such a series with this code; ``fit``/``transform``/``predict``
+#: raise a :class:`ValueError` whose message starts with it.
+NON_FINITE = "non-finite"
+
+
+def non_finite_message(values: np.ndarray, what: str) -> str | None:
+    """``None`` when every value is finite, else a message counting the bad ones."""
+    bad = int(values.size - np.count_nonzero(np.isfinite(values)))
+    return f"{what} contains {bad} non-finite values" if bad else None
+
+
+def check_finite(values: np.ndarray, what: str = "X") -> None:
+    """Raise ``ValueError("non-finite: ...")`` when ``values`` holds NaN or infinity."""
+    message = non_finite_message(values, what)
+    if message is not None:
+        raise ValueError(f"{NON_FINITE}: {message}")
 
 
 @runtime_checkable

@@ -270,10 +270,11 @@ class ParamSelector:
             folds = min(self.cv_folds, X_val_t.shape[0])
             if folds < 2:
                 continue
-            preds = kfold_predictions(
-                fit_predict, X_val_t, y_val, n_folds=folds, seed=self.seed
-            )
-            scores = precision_recall_f1(y_val, preds, labels=self.classes_)
+            with self.tracer.span("crossval"):
+                preds = kfold_predictions(
+                    fit_predict, X_val_t, y_val, n_folds=folds, seed=self.seed
+                )
+                scores = precision_recall_f1(y_val, preds, labels=self.classes_)
             for label, f1 in zip(scores.labels, scores.f1):
                 sums[label] += float(f1)
             useful_splits += 1

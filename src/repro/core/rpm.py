@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..base import BaseEstimator, keyword_only
+from ..base import BaseEstimator, check_finite, keyword_only
 from ..ml.svm import SVC
 from ..obs import resolve_tracer
 from ..obs.metrics import registry
@@ -211,11 +211,16 @@ class RPMClassifier(BaseEstimator):
     # -- training ---------------------------------------------------------------
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RPMClassifier":
-        """Run the full RPM training pipeline (Algorithms 1-3)."""
+        """Run the full RPM training pipeline (Algorithms 1-3).
+
+        Raises ``ValueError("non-finite: ...")`` when ``X`` holds NaN or
+        infinity.
+        """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError("X must be (n, m) with matching y")
+        check_finite(X)
         self.classes_ = np.unique(y)
         if self.classes_.size < 2:
             raise ValueError("need at least two classes")
@@ -327,9 +332,15 @@ class RPMClassifier(BaseEstimator):
     # -- inference ----------------------------------------------------------------
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        """Pattern-distance features of new series (n, K)."""
+        """Pattern-distance features of new series (n, K).
+
+        Raises ``ValueError("non-finite: ...")`` when ``X`` holds NaN or
+        infinity (so does :meth:`predict`).
+        """
         if not self.patterns_:
             raise RuntimeError("classifier used before fit()")
+        X = np.asarray(X, dtype=float)
+        check_finite(X)
         with self._make_executor() as executor:
             return pattern_features(
                 X,

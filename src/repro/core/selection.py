@@ -19,16 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..distance.best_match import batch_best_distances
 from ..ml.cfs import cfs_select
 from ..obs.metrics import registry
 from ..obs.tracer import NOOP
-from ..runtime.kernel import (
-    PrenormalizedPattern,
-    SlidingWindowStats,
-    prenormalize_pattern,
-    tie_break_argmin_rows,
-)
+from ..runtime.kernel import SlidingWindowStats, prenormalize_pattern, tie_break_argmin_rows
 from .patterns import PatternCandidate, RepresentativePattern
 from .transform import pattern_features
 
@@ -67,39 +61,6 @@ def compute_tau(
     return float(np.percentile(np.concatenate(pools), percentile))
 
 
-class _DedupBank:
-    """One per-length bank of kept candidates for :func:`remove_similar`.
-
-    Kept values live in a capacity-doubling row matrix (amortized O(L)
-    appends instead of an O(k·L) ``np.stack`` per probe) alongside their
-    :class:`~repro.runtime.kernel.PrenormalizedPattern` forms, so the
-    longer-candidate probe is one batched kernel call over patterns
-    whose z-normalization was paid once at insert time.
-    """
-
-    __slots__ = ("length", "_values", "count", "prenormalized")
-
-    def __init__(self, length: int) -> None:
-        self.length = int(length)
-        self._values = np.empty((4, self.length))
-        self.count = 0
-        self.prenormalized: list[PrenormalizedPattern] = []
-
-    def append(self, values: np.ndarray) -> None:
-        if self.count == self._values.shape[0]:
-            grown = np.empty((2 * self.count, self.length))
-            grown[: self.count] = self._values
-            self._values = grown
-        self._values[self.count] = values
-        self.count += 1
-        self.prenormalized.append(prenormalize_pattern(values))
-
-    @property
-    def values(self) -> np.ndarray:
-        """The kept rows — a view, identical to stacking the kept list."""
-        return self._values[: self.count]
-
-
 def remove_similar(
     candidates: list[PatternCandidate],
     tau: float,
@@ -111,48 +72,55 @@ def remove_similar(
     candidate wins. Scanning in descending frequency makes the result
     order-independent: a kept candidate can never lose to a later one.
 
-    Kept candidates are bucketed by length into incrementally grown
-    :class:`_DedupBank` arrays — candidate lengths cluster tightly
-    around the SAX window, so there are few buckets. A shorter-or-equal
-    candidate probes a bucket with one batched closest-match call over
-    the bank's row matrix; a longer candidate slides every prenormalized
-    bank pattern over itself through the batched kernel (mat-vec, the
-    bitwise-exact backend), with the same low-tie-break distance the
-    scalar ``best_match`` loop reported.
+    Every "is candidate ``i`` within τ of kept candidate ``j``" answer
+    is computed up front into a boolean matrix, one length pair at a
+    time, and the greedy scan then runs on indices only. Candidates are
+    grouped by length (candidate lengths cluster tightly around the SAX
+    window, so there are few groups); for each pair of group lengths
+    ``La <= Lb`` one :class:`SlidingWindowStats` over all length-``Lb``
+    rows with window ``La`` yields, through the exact mat-vec backend, a
+    ``(ka, kb, J)`` profile block that answers both directions:
+
+    * a shorter (or equal-length) candidate probing a kept one slides
+      over it: the plain row minimum;
+    * a longer candidate probing a shorter kept one has the kept pattern
+      slide over it: the distance at the tie-break-low position.
+
+    Window statistics and mat-vec dot products are per row, so each
+    entry is bit for bit what a one-row kernel over that pair computes;
+    for equal lengths the pattern is the later-scanned candidate, as in
+    a probe of the kept rows.
     """
     ordered = sorted(candidates, key=lambda c: c.frequency, reverse=True)
-    kept: list[PatternCandidate] = []
-    banks: dict[int, _DedupBank] = {}
-
-    def is_similar(candidate: PatternCandidate) -> bool:
-        for length, bank in banks.items():
-            if candidate.length <= length:
-                dists = batch_best_distances(candidate.values, bank.values)
-                if bool((dists < tau).any()):
-                    return True
-            else:
-                # Bank patterns slide over the (longer) candidate: one
-                # SlidingWindowStats build per bucket instead of a full
-                # rolling-statistics pass per kept pattern.
-                stats = SlidingWindowStats(candidate.values[None, :], length)
-                profiles = stats.batch_profiles_prenormalized(
-                    bank.prenormalized, backend="matvec"
-                )
+    groups: dict[int, list[int]] = {}
+    for index, candidate in enumerate(ordered):
+        groups.setdefault(candidate.length, []).append(index)
+    lengths = sorted(groups)
+    # Group order: each length's candidates form one contiguous block.
+    grouped = [index for length in lengths for index in groups[length]]
+    bounds = np.cumsum([0] + [len(groups[length]) for length in lengths])
+    rows = [np.stack([ordered[i].values for i in groups[length]]) for length in lengths]
+    pres = [[prenormalize_pattern(values) for values in block] for block in rows]
+    close = np.zeros((len(ordered), len(ordered)), dtype=bool)
+    for b, long in enumerate(lengths):
+        cols = slice(bounds[b], bounds[b + 1])
+        shorter = SlidingWindowStats.over_lengths(rows[b], lengths[: b + 1])
+        for a, stats in enumerate(shorter):
+            rows_a = slice(bounds[a], bounds[a + 1])
+            profiles = stats.batch_profiles_prenormalized(pres[a], backend="matvec")
+            close[rows_a, cols] = profiles.min(axis=2) < tau
+            if a < b:
                 positions = tie_break_argmin_rows(profiles)
-                dists = np.take_along_axis(
-                    profiles, positions[:, :, None], axis=2
-                )[:, 0, 0]
-                if bool((dists < tau).any()):
-                    return True
-        return False
-
-    for candidate in ordered:
-        if not is_similar(candidate):
-            kept.append(candidate)
-            banks.setdefault(candidate.length, _DedupBank(candidate.length)).append(
-                candidate.values
-            )
-    return kept
+                tied = np.take_along_axis(profiles, positions[..., None], axis=2)[..., 0]
+                close[cols, rows_a] = (tied < tau).T
+    # Back to scan order: close[i, j] — candidate i, probing kept j, is within τ.
+    position = np.empty(len(ordered), dtype=int)
+    position[grouped] = np.arange(len(ordered))
+    close = close[np.ix_(position, position)]
+    kept = np.zeros(len(ordered), dtype=bool)
+    for i in range(len(ordered)):
+        kept[i] = not (close[i, :i] & kept[:i]).any()
+    return [candidate for candidate, keep in zip(ordered, kept) if keep]
 
 
 #: Cap on the candidate pool entering the pairwise de-duplication. The
@@ -208,7 +176,8 @@ def find_distinct(
     the CFS stage's per-column discretization and SU blocks across
     calls with overlapping candidate pools. ``tracer`` records a
     ``select`` span with ``tau`` / ``dedup`` / ``transform`` / ``cfs``
-    children; de-duplication and CFS drop counts go to the metrics
+    children (``dedup`` carries ``dedup.length_pairs``, its kernel
+    build count); de-duplication and CFS drop counts go to the metrics
     registry (``candidates.dropped_dedup``, ``patterns.selected``).
     """
     if not candidates:
@@ -225,6 +194,10 @@ def find_distinct(
             deduped = remove_similar(capped, tau)
             dedup_span.add("candidates.in", len(capped))
             dedup_span.add("candidates.kept", len(deduped))
+            # remove_similar builds one SlidingWindowStats per pair of
+            # distinct candidate lengths La <= Lb.
+            n_lengths = len({c.length for c in capped})
+            dedup_span.add("dedup.length_pairs", n_lengths * (n_lengths + 1) // 2)
         metrics.inc("candidates.dropped_dedup", len(capped) - len(deduped))
 
         features = pattern_features(

@@ -5,7 +5,9 @@ Two formats:
 * :func:`format_tree` — an indented wall-time tree for terminals.
   Same-named siblings are aggregated into one ``name ×N`` line (a
   DIRECT search opens the same ``evaluate`` span dozens of times;
-  per-occurrence lines would drown the signal).
+  per-occurrence lines would drown the signal). Where a row's time
+  exceeds its children's by more than :data:`UNATTRIBUTED_SHARE` of
+  it, an ``(unattributed)`` child line shows the gap.
 * :func:`write_jsonl` / :func:`span_records` — JSON-lines, one object
   per span (pre-order, with ``depth``/``parent``) and one per metric
   instrument, for per-commit CI artifacts and offline analysis.
@@ -21,6 +23,10 @@ from .metrics import MetricsRegistry
 from .tracer import Span, Tracer
 
 __all__ = ["format_tree", "span_records", "span_subtree", "write_jsonl"]
+
+#: A row whose children leave more than this share of its time uncovered
+#: gets an ``(unattributed)`` child line for the rest.
+UNATTRIBUTED_SHARE = 0.05
 
 
 class _Aggregate:
@@ -61,15 +67,20 @@ def _format_counters(counters: dict) -> str:
     return "  [" + " ".join(parts) + "]"
 
 
+def _row(indent: int, label: str, seconds: float) -> str:
+    pad = "  " * indent
+    return f"{pad}{label:<{max(1, 36 - len(pad))}} {seconds:9.3f}s"
+
+
 def _tree_lines(spans: Sequence[Span], indent: int, lines: list[str]) -> None:
     for agg in _aggregate_siblings(spans):
         label = agg.name if agg.count == 1 else f"{agg.name} ×{agg.count}"
-        pad = "  " * indent
-        lines.append(
-            f"{pad}{label:<{max(1, 36 - len(pad))}} {agg.total:9.3f}s"
-            + _format_counters(agg.counters)
-        )
+        lines.append(_row(indent, label, agg.total) + _format_counters(agg.counters))
         _tree_lines(agg.children, indent + 1, lines)
+        if agg.children:
+            gap = agg.total - sum(child.duration for child in agg.children)
+            if gap > UNATTRIBUTED_SHARE * agg.total:
+                lines.append(_row(indent + 1, "(unattributed)", gap))
 
 
 def format_tree(tracer: Tracer) -> str:

@@ -213,6 +213,39 @@ def _next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 0).bit_length()
 
 
+class _RowPrefix:
+    """Centered rows of a series matrix and their cumulative sums.
+
+    Everything :class:`SlidingWindowStats` derives from ``X`` alone,
+    before a window length enters.
+    """
+
+    __slots__ = ("centered", "cumsum", "cumsum2", "flat_threshold")
+
+    def __init__(self, X: np.ndarray) -> None:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"SlidingWindowStats expects a 2-D matrix, got {X.shape}")
+        n_rows, m = X.shape
+        if m < 2:
+            raise ValueError(f"window length must be in [2, {m}]; rows have {m} point(s)")
+        # Centering the rows before the cumulative sums avoids the
+        # catastrophic cancellation of sum(x²)/L − mean² for series
+        # with a large offset; window z-normalization is unaffected.
+        # The pattern side is z-normalized (Σq = 0), so the per-row
+        # shift also leaves every ⟨w, q⟩ dot product unchanged.
+        X = X - X.mean(axis=1, keepdims=True)
+        self.centered = X
+        zeros = np.zeros((n_rows, 1))
+        self.cumsum = np.concatenate([zeros, np.cumsum(X, axis=1)], axis=1)
+        self.cumsum2 = np.concatenate([zeros, np.cumsum(X * X, axis=1)], axis=1)
+        # Flatness threshold with a magnitude-relative noise floor: the
+        # cumulative-sum variance estimate carries cancellation noise
+        # proportional to the series' squared magnitude.
+        rms = np.sqrt(self.cumsum2[:, -1:] / max(m, 1))
+        self.flat_threshold = np.maximum(NORM_THRESHOLD, 1e-7 * rms)
+
+
 class SlidingWindowStats:
     """Rolling statistics of every length-``L`` window of a series matrix.
 
@@ -248,10 +281,27 @@ class SlidingWindowStats:
     )
 
     def __init__(self, X: np.ndarray, length: int) -> None:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"SlidingWindowStats expects a 2-D matrix, got {X.shape}")
-        n_rows, m = X.shape
+        self._fill(_RowPrefix(X), length)
+
+    @classmethod
+    def over_lengths(cls, X: np.ndarray, lengths: Sequence[int]) -> list["SlidingWindowStats"]:
+        """One instance per window length, sharing the row prefix sums.
+
+        The centering and cumulative sums depend only on ``X``; building
+        them once for every length gives arrays identical to separate
+        constructions, so each instance is bit for bit what
+        ``SlidingWindowStats(X, length)`` builds.
+        """
+        prefix = _RowPrefix(X)
+        out = []
+        for length in lengths:
+            stats = cls.__new__(cls)
+            stats._fill(prefix, length)
+            out.append(stats)
+        return out
+
+    def _fill(self, prefix: "_RowPrefix", length: int) -> None:
+        n_rows, m = prefix.centered.shape
         length = int(length)
         if not 2 <= length <= m:
             raise ValueError(f"window length must be in [2, {m}], got {length}")
@@ -260,34 +310,28 @@ class SlidingWindowStats:
         self.n_series = n_rows
         self.n_windows = m - length + 1
 
-        # Centering the rows before the cumulative sums avoids the
-        # catastrophic cancellation of sum(x²)/L − mean² for series
-        # with a large offset; window z-normalization is unaffected.
-        # The pattern side is z-normalized (Σq = 0), so the per-row
-        # shift also leaves every ⟨w, q⟩ dot product unchanged.
-        X = X - X.mean(axis=1, keepdims=True)
-
-        cumsum = np.cumsum(X, axis=1)
-        cumsum = np.concatenate([np.zeros((n_rows, 1)), cumsum], axis=1)
-        cumsum2 = np.cumsum(X * X, axis=1)
-        cumsum2 = np.concatenate([np.zeros((n_rows, 1)), cumsum2], axis=1)
+        cumsum, cumsum2 = prefix.cumsum, prefix.cumsum2
         window_sum = cumsum[:, length:] - cumsum[:, :-length]
         window_sum2 = cumsum2[:, length:] - cumsum2[:, :-length]
         mean = window_sum / length
         var = window_sum2 / length - mean * mean
         np.maximum(var, 0.0, out=var)
         sd = np.sqrt(var)
-        # Flatness threshold with a magnitude-relative noise floor: the
-        # cumulative-sum variance estimate carries cancellation noise
-        # proportional to the series' squared magnitude.
-        rms = np.sqrt(cumsum2[:, -1:] / max(m, 1))
-        self._flat = is_flat(sd, np.maximum(NORM_THRESHOLD, 1e-7 * rms))
+        self._flat = is_flat(sd, prefix.flat_threshold)
         self._sd = sd
         self._safe_sd = np.where(self._flat, 1.0, sd)
         # The centered copy backs both the strided window view (matvec)
-        # and the lazily-computed series spectrum (fft).
+        # and the lazily-computed series spectrum (fft). The view is the
+        # one ``sliding_window_view(X, length, axis=1)`` returns, without
+        # its argument validation.
+        X = prefix.centered
         self._centered = X
-        self._windows = np.lib.stride_tricks.sliding_window_view(X, length, axis=1)
+        self._windows = np.lib.stride_tricks.as_strided(
+            X,
+            (n_rows, self.n_windows, length),
+            (X.strides[0], X.strides[1], X.strides[1]),
+            writeable=False,
+        )
         self._xf = None
         self._nfft = 0
         self._fft_lock = threading.Lock()
@@ -348,17 +392,28 @@ class SlidingWindowStats:
             qf = np.fft.rfft(Q[:, ::-1], nfft, axis=1)
             conv = np.fft.irfft(qf[:, None, :] * xf[None, :, :], nfft, axis=2)
             dot = conv[:, :, L - 1 : m]
-            # From here down the arithmetic is the mat-vec path's,
-            # expression for expression — only ``dot`` differs, by FFT
-            # rounding.
-            d2 = 2.0 * L - 2.0 * dot / self._safe_sd
-            qq = np.array([0.0 if pre.q_is_flat else pre.qq for pre in block])
-            d2[:, self._flat] = qq[:, None]
-            for i, pre in enumerate(block):
-                if pre.q_is_flat:
-                    d2[i][~self._flat] = float(L)
-            np.maximum(d2, 0.0, out=d2)
-            yield lo, lo + len(block), np.sqrt(d2)
+            # Only ``dot`` differs from the mat-vec path, by FFT rounding.
+            yield lo, lo + len(block), self._profiles_from_dots(dot, block)
+
+    def _profiles_from_dots(
+        self, dot: np.ndarray, pres: Sequence[PrenormalizedPattern]
+    ) -> np.ndarray:
+        """Distance profiles ``(k, n, J)`` from window·pattern dot products.
+
+        The mat-vec arithmetic of :meth:`_matvec_profiles`, expression
+        for expression, broadcast over the ``k`` patterns: element-wise
+        IEEE operations round the same whether applied to one slice or
+        to the stack, so each slice is bitwise the one-pattern result.
+        """
+        L = self.length
+        d2 = 2.0 * L - 2.0 * dot / self._safe_sd
+        qq = np.array([0.0 if pre.q_is_flat else pre.qq for pre in pres])
+        d2[:, self._flat] = qq[:, None]
+        for i, pre in enumerate(pres):
+            if pre.q_is_flat:
+                d2[i][~self._flat] = float(L)
+        np.maximum(d2, 0.0, out=d2)
+        return np.sqrt(d2)
 
     # -- profiles --------------------------------------------------------------
 
@@ -401,16 +456,7 @@ class SlidingWindowStats:
         if resolved == "fft":
             for _lo, _hi, block in self._fft_profile_chunks([pre]):
                 return block[0]
-        L = self.length
-        dot = self._windows @ pre.q  # (n, J)
-        d2 = 2.0 * L - 2.0 * dot / self._safe_sd
-        # Flat window vs pattern: ẑ(w) = 0, so dist² = Σ q².
-        d2[self._flat] = 0.0 if pre.q_is_flat else pre.qq
-        if pre.q_is_flat:
-            # Pattern flat vs non-flat window: dist² = Σ ẑ(w)² = L.
-            d2[~self._flat] = float(L)
-        np.maximum(d2, 0.0, out=d2)
-        return np.sqrt(d2)
+        return self._matvec_profiles(pre)
 
     def batch_profiles_prenormalized(
         self, pres: Sequence[PrenormalizedPattern], backend: str = "auto"
@@ -419,8 +465,9 @@ class SlidingWindowStats:
 
         The FFT backend computes the series spectrum once and runs all
         ``k`` patterns through one batched transform; the mat-vec
-        backend stacks ``k`` :meth:`profiles_prenormalized` results and
-        stays bitwise identical to the per-pattern path.
+        backend takes one mat-vec per pattern and the distance
+        arithmetic once over the stack, bitwise identical to the
+        per-pattern path.
         """
         pres = list(pres)
         for pre in pres:
@@ -439,18 +486,20 @@ class SlidingWindowStats:
         if resolved == "fft":
             for lo, hi, block in self._fft_profile_chunks(pres):
                 out[lo:hi] = block
-        else:
-            for i, pre in enumerate(pres):
-                out[i] = self._matvec_profiles(pre)
-        return out
+            return out
+        for i, pre in enumerate(pres):
+            np.matmul(self._windows, pre.q, out=out[i])
+        return self._profiles_from_dots(out, pres)
 
     def _matvec_profiles(self, pre: PrenormalizedPattern) -> np.ndarray:
         """The mat-vec arithmetic without dispatch or counters."""
         L = self.length
         dot = self._windows @ pre.q  # (n, J)
         d2 = 2.0 * L - 2.0 * dot / self._safe_sd
+        # Flat window vs pattern: ẑ(w) = 0, so dist² = Σ q².
         d2[self._flat] = 0.0 if pre.q_is_flat else pre.qq
         if pre.q_is_flat:
+            # Pattern flat vs non-flat window: dist² = Σ ẑ(w)² = L.
             d2[~self._flat] = float(L)
         np.maximum(d2, 0.0, out=d2)
         return np.sqrt(d2)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..base import NON_FINITE, non_finite_message
+
 __all__ = [
     "ResultStatus",
     "PredictionRequest",
@@ -123,7 +125,7 @@ def validate_series(series, expected_length: int | None = None):
             "bad-length",
             f"series has {values.size} points, model expects {expected_length}",
         )
-    if not np.isfinite(values).all():
-        bad = int(np.count_nonzero(~np.isfinite(values)))
-        return None, "non-finite", f"series contains {bad} non-finite values"
+    message = non_finite_message(values, "series")
+    if message is not None:
+        return None, NON_FINITE, message
     return values, None, None

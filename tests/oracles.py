@@ -1,10 +1,12 @@
 """Shared reference oracles and tolerance-aware assert helpers.
 
-Two families live here: the distance oracles below, and the
-refinement oracles at the end of the module (a copy-shrinking
-agglomeration and a bisection that re-agglomerates every group), which
-the single-dendrogram refinement in :mod:`repro.cluster` must match
-bit for bit.
+Three families live here: the distance oracles below, the refinement
+oracles (a copy-shrinking agglomeration and a bisection that
+re-agglomerates every group), which the single-dendrogram refinement in
+:mod:`repro.cluster` must match bit for bit, and the candidate-by-
+candidate de-duplication at the end of the module, which
+:func:`repro.core.selection.remove_similar` must match element by
+element.
 
 The optimized kernels (mat-vec and FFT alike) are pinned against the
 one implementation slow enough to be obviously correct: z-normalize
@@ -41,9 +43,16 @@ from repro.cluster.refine import (
     medoid_of,
 )
 from repro.core.patterns import PatternCandidate
+from repro.distance.best_match import batch_best_distances
 from repro.distance.euclidean import pairwise_euclidean
 from repro.grammar.inference import discretize_class, induce_motifs
-from repro.runtime.kernel import resample_pattern, tie_break_argmin_rows
+from repro.runtime.kernel import (
+    PrenormalizedPattern,
+    SlidingWindowStats,
+    prenormalize_pattern,
+    resample_pattern,
+    tie_break_argmin_rows,
+)
 from repro.sax.znorm import znorm
 
 __all__ = [
@@ -58,6 +67,7 @@ __all__ = [
     "shrinking_agglomerate",
     "recursive_bisect_refine",
     "refine_every_motif",
+    "banked_remove_similar",
 ]
 
 #: Shared tolerance model for cross-backend distance comparisons.
@@ -320,3 +330,98 @@ def refine_every_motif(
                 )
             )
     return candidates, refined
+
+
+# -- de-duplication oracle ----------------------------------------------------
+
+
+class _DedupBank:
+    """One per-length bank of kept candidates for :func:`banked_remove_similar`.
+
+    Kept values live in a capacity-doubling row matrix (amortized O(L)
+    appends instead of an O(k·L) ``np.stack`` per probe) alongside their
+    :class:`~repro.runtime.kernel.PrenormalizedPattern` forms, so the
+    longer-candidate probe is one batched kernel call over patterns
+    whose z-normalization was paid once at insert time.
+    """
+
+    __slots__ = ("length", "_values", "count", "prenormalized")
+
+    def __init__(self, length: int) -> None:
+        self.length = int(length)
+        self._values = np.empty((4, self.length))
+        self.count = 0
+        self.prenormalized: list[PrenormalizedPattern] = []
+
+    def append(self, values: np.ndarray) -> None:
+        if self.count == self._values.shape[0]:
+            grown = np.empty((2 * self.count, self.length))
+            grown[: self.count] = self._values
+            self._values = grown
+        self._values[self.count] = values
+        self.count += 1
+        self.prenormalized.append(prenormalize_pattern(values))
+
+    @property
+    def values(self) -> np.ndarray:
+        """The kept rows — a view, identical to stacking the kept list."""
+        return self._values[: self.count]
+
+
+def banked_remove_similar(
+    candidates: list[PatternCandidate],
+    tau: float,
+) -> list[PatternCandidate]:
+    """Greedy de-duplication that probes the kept banks candidate by candidate.
+
+    The incremental form of Algorithm 2, lines 5-18: each candidate, in
+    descending frequency, is compared against every kept candidate so
+    far; :func:`repro.core.selection.remove_similar` computes all pair
+    answers from one profile block per length pair instead, and must
+    keep the same candidates in the same order. Candidates are compared by the closest-match distance (the shorter
+    pattern slides over the longer); within τ the more frequent
+    candidate wins. Scanning in descending frequency makes the result
+    order-independent: a kept candidate can never lose to a later one.
+
+    Kept candidates are bucketed by length into incrementally grown
+    :class:`_DedupBank` arrays — candidate lengths cluster tightly
+    around the SAX window, so there are few buckets. A shorter-or-equal
+    candidate probes a bucket with one batched closest-match call over
+    the bank's row matrix; a longer candidate slides every prenormalized
+    bank pattern over itself through the batched kernel (mat-vec, the
+    bitwise-exact backend), with the same low-tie-break distance the
+    scalar ``best_match`` loop reported.
+    """
+    ordered = sorted(candidates, key=lambda c: c.frequency, reverse=True)
+    kept: list[PatternCandidate] = []
+    banks: dict[int, _DedupBank] = {}
+
+    def is_similar(candidate: PatternCandidate) -> bool:
+        for length, bank in banks.items():
+            if candidate.length <= length:
+                dists = batch_best_distances(candidate.values, bank.values)
+                if bool((dists < tau).any()):
+                    return True
+            else:
+                # Bank patterns slide over the (longer) candidate: one
+                # SlidingWindowStats build per bucket instead of a full
+                # rolling-statistics pass per kept pattern.
+                stats = SlidingWindowStats(candidate.values[None, :], length)
+                profiles = stats.batch_profiles_prenormalized(
+                    bank.prenormalized, backend="matvec"
+                )
+                positions = tie_break_argmin_rows(profiles)
+                dists = np.take_along_axis(
+                    profiles, positions[:, :, None], axis=2
+                )[:, 0, 0]
+                if bool((dists < tau).any()):
+                    return True
+        return False
+
+    for candidate in ordered:
+        if not is_similar(candidate):
+            kept.append(candidate)
+            banks.setdefault(candidate.length, _DedupBank(candidate.length)).append(
+                candidate.values
+            )
+    return kept

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.patterns import PatternCandidate
 from repro.core.selection import (
@@ -14,7 +16,10 @@ from repro.core.selection import (
     find_distinct,
     remove_similar,
 )
+from repro.obs.tracer import Tracer
+from repro.runtime.kernel import SlidingWindowStats, tie_break_argmin
 from repro.sax.discretize import SaxParams
+from tests.oracles import banked_remove_similar
 
 PARAMS = SaxParams(8, 4, 4)
 
@@ -83,6 +88,122 @@ class TestRemoveSimilar:
 
     def test_empty_input(self):
         assert remove_similar([], 1.0) == []
+
+
+@st.composite
+def _dedup_pools(draw):
+    """Candidate pools with exact ties: duplicates, flats, equal frequencies.
+
+    Values sit on a small integer grid so that duplicated and flat
+    patterns and equal closest-match distances are common; τ is either
+    drawn or set to one pair's exact closest-match distance, which the
+    strict ``< τ`` test must leave on the keep side.
+    """
+    n = draw(st.integers(0, 12))
+    pool: list[PatternCandidate] = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["grid", "grid", "flat", "duplicate", "affine", "embed"]))
+        if kind in ("duplicate", "affine", "embed") and pool:
+            # Copies equal after z-normalization, whose computed distances
+            # differ only by rounding: near-ties in both probe directions.
+            values = draw(st.sampled_from(pool)).values.copy()
+            scaled = values * draw(st.integers(1, 3)) + draw(st.integers(-5, 5))
+            if kind == "affine":
+                values = scaled
+            elif kind == "embed":
+                values = np.concatenate([scaled, values])
+        elif kind == "flat":
+            values = np.full(draw(st.integers(2, 9)), float(draw(st.integers(-2, 2))))
+        else:
+            length = draw(st.integers(2, 9))
+            values = np.array(draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length)), float)
+        pool.append(_candidate(values, frequency=draw(st.integers(1, 3))))
+    mode = draw(st.sampled_from(["drawn", "at_pair", "zero"]))
+    if mode == "zero" or len(pool) < 2:
+        tau = 0.0 if mode == "zero" else draw(st.floats(0.0, 6.0))
+    elif mode == "drawn":
+        tau = draw(st.floats(0.0, 6.0))
+    else:
+        # A shorter probe reads the profile minimum, a longer one the
+        # tie-break-low position's value; either may be the pair's τ.
+        i, j = draw(st.permutations(range(len(pool))))[:2]
+        short, long_ = sorted((pool[i], pool[j]), key=lambda c: c.length)
+        profile = SlidingWindowStats(long_.values[None, :], short.length).profiles(short.values)[0]
+        at = tie_break_argmin(profile) if draw(st.booleans()) else int(np.argmin(profile))
+        tau = float(profile[at])
+    return pool, tau
+
+
+class TestRemoveSimilarParity:
+    """The one-block-per-length-pair scan keeps what the banked probe keeps."""
+
+    @given(_dedup_pools())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_banked_oracle(self, pool_tau):
+        pool, tau = pool_tau
+        kept = remove_similar(pool, tau)
+        expected = banked_remove_similar(pool, tau)
+        assert [id(c) for c in kept] == [id(c) for c in expected]
+
+    def test_longer_probe_reads_tie_break_position(self):
+        # The window at 0 of ``long_`` is an affine copy of ``short`` and
+        # the one at 5 an exact copy: both tie within the kernel's
+        # tolerance, and the tie-break-low position can read a rounding
+        # residue above the profile minimum.
+        short = np.array([1.0, -3.0, -3.0, -1.0, 2.0])
+        long_ = np.array([5.0, -3.0, -3.0, 1.0, 7.0, 1.0, -3.0, -3.0, -1.0, 2.0])
+        profile = SlidingWindowStats(long_[None, :], short.size).profiles(short)[0]
+        tau = float(profile[tie_break_argmin(profile)])
+        kept, probe = _candidate(short, frequency=5), _candidate(long_, frequency=1)
+        assert remove_similar([kept, probe], tau) == [kept, probe]
+        assert banked_remove_similar([kept, probe], tau) == [kept, probe]
+
+    def test_single_candidate_kept(self):
+        only = _candidate(np.arange(5.0))
+        assert remove_similar([only], 3.0) == [only]
+
+    def test_equal_frequencies_keep_input_order(self):
+        shape = np.sin(np.linspace(0, 3, 12))
+        first, second = _candidate(shape), _candidate(shape.copy())
+        assert remove_similar([first, second], 0.5) == [first]
+        assert remove_similar([second, first], 0.5) == [second]
+
+
+class TestDedupWork:
+    """Work counter: kernel builds scale with length pairs, not candidates."""
+
+    def _pool(self):
+        rng = np.random.default_rng(3)
+        lengths = [12, 12, 14, 14, 14, 16, 19, 19, 23, 23, 23, 23]
+        return [
+            _candidate(rng.standard_normal(n), frequency=1 + i % 4, within=[1.0, 2.0])
+            for i, n in enumerate(lengths)
+        ]
+
+    def test_one_window_stats_per_length_pair(self, monkeypatch):
+        builds = []
+        fill = SlidingWindowStats._fill
+
+        def counting_fill(self, prefix, length):
+            builds.append(length)
+            fill(self, prefix, length)
+
+        monkeypatch.setattr(SlidingWindowStats, "_fill", counting_fill)
+        pool = self._pool()
+        k = len({c.length for c in pool})
+        remove_similar(pool, 2.0)
+        # One build per pair La <= Lb: the count the dedup span reports.
+        assert len(builds) == k * (k + 1) // 2
+
+    def test_length_pairs_recorded_on_dedup_span(self, rng):
+        X, y = _feature_dataset(rng, n_per_class=4, length=40)
+        pool = self._pool()
+        k = len({c.length for c in pool})
+        tracer = Tracer()
+        find_distinct(X, y, pool, tracer=tracer)
+        spans = [span for root in tracer.roots for span, _ in root.walk()]
+        (dedup,) = [span for span in spans if span.name == "dedup"]
+        assert dedup.counters["dedup.length_pairs"] == k * (k + 1) // 2
 
 
 def _feature_dataset(rng, n_per_class=12, length=60):

@@ -26,6 +26,7 @@ from repro.runtime import (
     resample_pattern,
     sliding_best_distances,
 )
+from repro.runtime.kernel import prenormalize_pattern
 from tests.oracles import (
     assert_argmin_equal,
     assert_profiles_close,
@@ -134,6 +135,52 @@ class TestKernelVsOracle:
             assert np.array_equal(
                 stats.best_distances(pattern), batch_best_distances(pattern, X)
             )
+
+
+class TestSharedPrefixAndBatchedTail:
+    """Bitwise pins for the helpers the de-duplication block relies on."""
+
+    @staticmethod
+    def _bank(rng, length):
+        bank = [rng.standard_normal(length) for _ in range(4)]
+        bank.append(np.full(length, 2.5))  # flat pattern
+        return [prenormalize_pattern(p) for p in bank]
+
+    @staticmethod
+    def _matrix(rng):
+        X = rng.standard_normal((5, 30)) * 3 + 50
+        X[1, 4:16] = 7.0  # flat windows inside a row
+        X[3] = -1.0  # an all-flat row
+        return X
+
+    def test_over_lengths_equals_separate_builds(self, rng):
+        X = self._matrix(rng)
+        lengths = [2, 5, 12, 30]
+        for shared, length in zip(SlidingWindowStats.over_lengths(X, lengths), lengths):
+            alone = SlidingWindowStats(X, length)
+            for pre in self._bank(rng, length):
+                assert np.array_equal(
+                    shared.profiles_prenormalized(pre), alone.profiles_prenormalized(pre)
+                )
+
+    def test_batch_matvec_equals_per_pattern(self, rng):
+        X = self._matrix(rng)
+        for length in (3, 9):
+            stats = SlidingWindowStats(X, length)
+            bank = self._bank(rng, length)
+            batch = stats.batch_profiles_prenormalized(bank, backend="matvec")
+            for i, pre in enumerate(bank):
+                assert np.array_equal(batch[i], stats.profiles_prenormalized(pre))
+
+    def test_rows_are_independent(self, rng):
+        """A row's profile does not depend on the other rows of the matrix."""
+        X = self._matrix(rng)
+        bank = self._bank(rng, 6)
+        full = SlidingWindowStats(X, 6).batch_profiles_prenormalized(bank, backend="matvec")
+        for r in range(X.shape[0]):
+            alone = SlidingWindowStats(X[r : r + 1], 6)
+            one = alone.batch_profiles_prenormalized(bank, backend="matvec")
+            assert np.array_equal(full[:, r : r + 1], one)
 
 
 class TestWindowStatsCache:

@@ -6,6 +6,8 @@ behaves — either a clean error or a sensible result, never silent
 corruption.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,30 @@ class TestNaNs:
         clf = SVC().fit(X, y)
         scores = clf.decision_function(X)
         assert np.isnan(scores).any() or np.isfinite(scores).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rpm_fit_rejects_non_finite(self, tiny_cbf, bad):
+        X = tiny_cbf.X_train.copy()
+        X[2, 5] = bad
+        clf = RPMClassifier(sax_params=SaxParams(24, 5, 4), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^non-finite: X contains 1 non-finite"):
+                clf.fit(X, tiny_cbf.y_train)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rpm_predict_and_transform_reject_non_finite(self, tiny_cbf, bad):
+        clf = RPMClassifier(sax_params=SaxParams(24, 5, 4), seed=0)
+        clf.fit(tiny_cbf.X_train, tiny_cbf.y_train)
+        query = tiny_cbf.X_test[:3].copy()
+        query[1, -1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for method in (clf.predict, clf.transform):
+                with pytest.raises(ValueError, match=r"^non-finite"):
+                    method(query)
+        # The finite rows still classify.
+        assert clf.predict(query[[0, 2]]).shape == (2,)
 
     def test_nn_ed_with_nan_query(self, tiny_gun):
         clf = NearestNeighborED().fit(tiny_gun.X_train, tiny_gun.y_train)

@@ -1,12 +1,21 @@
 import random
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.grammar.rules import Rule
 from repro.grammar.sequitur import Sequitur, induce_grammar
-from repro.grammar.symbols import Guard, NonTerminal, Terminal
+from tests.sequitur_oracle import Guard, LinkedSequitur, NonTerminal, Rule, Terminal
 
 
+def _rules(grammar):
+    """Every live rule as (id, refcount, RHS string, expansion)."""
+    return [
+        (rule.rule_id, rule.refcount, rule.rhs_string(), rule.expansion())
+        for rule in grammar.rules()
+    ]
+
+
+# The linked-symbol oracle's building blocks (tests/sequitur_oracle.py).
 class TestSymbols:
     def test_insert_after_links(self):
         a, b, c = Terminal("a"), Terminal("b"), Terminal("c")
@@ -146,3 +155,56 @@ class TestSequitur:
     def test_feed_all_returns_self(self):
         g = Sequitur()
         assert g.feed_all("ab") is g
+
+
+def _runs(alphabet):
+    """Token lists built from runs, so ``aaaa…`` overlaps are common."""
+    run = st.tuples(st.sampled_from(alphabet), st.integers(1, 9))
+    return st.lists(run, max_size=40).map(
+        lambda runs: [token for token, count in runs for _ in range(count)]
+    )
+
+
+class TestParityWithLinkedOracle:
+    """The integer-array grammar equals the object graph rule for rule."""
+
+    @given(st.integers(1, 4).flatmap(lambda k: _runs("abcd"[:k])))
+    @settings(max_examples=300, deadline=None)
+    def test_runs_over_small_alphabets(self, tokens):
+        fast, oracle = induce_grammar(tokens), LinkedSequitur().feed_all(tokens)
+        assert _rules(fast) == _rules(oracle)
+        assert fast.grammar_size() == oracle.grammar_size()
+        assert fast.to_string() == oracle.to_string()
+
+    @given(st.lists(st.sampled_from(["aab", "abc", "ccb", "R1", "b"]), max_size=150))
+    @settings(max_examples=150, deadline=None)
+    def test_string_tokens(self, tokens):
+        assert _rules(induce_grammar(tokens)) == _rules(LinkedSequitur().feed_all(tokens))
+
+    @given(st.lists(st.integers(0, 2), max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_tokens(self, tokens):
+        assert _rules(induce_grammar(tokens)) == _rules(LinkedSequitur().feed_all(tokens))
+
+    def test_random_streams(self):
+        # Left-seam digrams (never indexed on inlining) only matter on
+        # longer streams; a few hundred random ones reach that case.
+        rnd = random.Random(0)
+        for _ in range(600):
+            alphabet = "abcd"[: rnd.randint(1, 4)]
+            tokens = [rnd.choice(alphabet) for _ in range(rnd.randint(1, 300))]
+            assert _rules(induce_grammar(tokens)) == _rules(LinkedSequitur().feed_all(tokens))
+
+    def test_long_single_token_run(self):
+        for n in range(1, 70):
+            tokens = ["a"] * n
+            assert _rules(induce_grammar(tokens)) == _rules(LinkedSequitur().feed_all(tokens))
+
+    def test_feed_one_at_a_time_matches_feed_all(self):
+        rnd = random.Random(4)
+        tokens = [rnd.choice("ab") for _ in range(400)]
+        g = Sequitur()
+        for token in tokens:
+            g.feed(token)
+        assert _rules(g) == _rules(induce_grammar(tokens))
+        assert g.tokens_fed == len(tokens)

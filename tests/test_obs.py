@@ -235,6 +235,34 @@ class TestEmitters:
     def test_format_tree_empty(self):
         assert format_tree(Tracer()) == "(no spans recorded)"
 
+    @staticmethod
+    def _parent_with_child(parent_s: float, child_s: float) -> Tracer:
+        tracer = Tracer()
+        with tracer.span("evaluate"):
+            with tracer.span("mine"):
+                pass
+        root = tracer.roots[0]
+        root.duration = parent_s
+        root.children[0].duration = child_s
+        return tracer
+
+    def test_format_tree_shows_unattributed_gap(self):
+        lines = format_tree(self._parent_with_child(2.0, 1.5)).splitlines()
+        assert len(lines) == 3
+        assert lines[2].split() == ["(unattributed)", "0.500s"]
+        # One level below its parent, beside the named children.
+        assert lines[2].startswith("  (") and lines[1].startswith("  mine")
+
+    def test_format_tree_omits_gap_within_five_percent(self):
+        text = format_tree(self._parent_with_child(2.0, 1.95))
+        assert "(unattributed)" not in text
+        # Leaves carry no gap line: all of their time is their own.
+        leaf = Tracer()
+        with leaf.span("fit"):
+            pass
+        leaf.roots[0].duration = 2.0
+        assert "(unattributed)" not in format_tree(leaf)
+
     def test_span_records_depth_and_parent(self):
         records = list(span_records(self._traced()))
         assert records[0]["name"] == "fit"
@@ -303,6 +331,22 @@ class TestPipelineTracing:
         fit_root = tracer.roots[0]
         assert fit_root.name == "fit"
         assert fit_root.duration > 0
+
+    def test_parameter_search_attributes_crossval(self, dataset):
+        tracer = Tracer()
+        clf = RPMClassifier(
+            param_search="direct", direct_budget=3, n_splits=1, seed=0, trace=tracer
+        )
+        clf.fit(dataset.X_train, dataset.y_train)
+        evaluations = [
+            span for root in tracer.roots for span, _ in root.walk() if span.name == "evaluate"
+        ]
+        children = [[child.name for child in e.children] for e in evaluations]
+        assert any("crossval" in names for names in children)
+        for names in children:
+            # Each split here that reaches selection has enough validation
+            # rows to be scored, inside one crossval span.
+            assert names.count("crossval") == names.count("select")
 
     def test_traced_fit_is_bitwise_identical(self, dataset):
         """Tracing must not perturb a single output bit."""
