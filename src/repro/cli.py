@@ -42,6 +42,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .base import NON_FINITE
 from .baselines import (
     FastShapeletsClassifier,
     LearningShapeletsClassifier,
@@ -273,12 +274,24 @@ def cmd_patterns(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    """``repro classify``: label UCR-format series with a saved model."""
+    """``repro classify``: label UCR-format series with a saved model.
+
+    A row holding NaN or infinity is printed as
+    ``<invalid:non-finite>``, as ``predict`` prints it, while the finite
+    rows are still labelled; any such row makes the exit code 3.
+    """
     clf = load_model(args.model)
     X, _ = load_ucr_file(args.data)
-    for i, label in enumerate(clf.predict(X)):
+    finite = np.isfinite(X).all(axis=1)
+    labels = np.full(len(X), f"<invalid:{NON_FINITE}>", dtype=object)
+    if finite.any():
+        labels[finite] = clf.predict(X[finite])
+    for i, label in enumerate(labels):
         print(f"{i}\t{label}")
-    return 0
+    failed = len(X) - int(np.count_nonzero(finite))
+    if failed:
+        print(f"{failed}/{len(X)} rows failed", file=sys.stderr)
+    return 0 if failed == 0 else 3
 
 
 def _open_handle(args, tracer: Tracer | None = None) -> ModelHandle:
@@ -348,7 +361,8 @@ def cmd_predict(args) -> int:
 
     Unlike ``classify`` this exercises the full serving path — compiled
     pattern bank, validation, micro-batching, deadlines — and reports a
-    typed per-row status instead of failing on the first bad row.
+    typed per-row status for every kind of bad row, not only
+    non-finite ones.
     """
     tracer = _tracer_for(args)
     X, _ = load_ucr_file(args.data)

@@ -5,7 +5,9 @@ The paper classifies the pattern-distance feature vectors with an SVM
 implements a soft-margin kernel SVM from scratch:
 
 * the dual problem is solved by sequential minimal optimization with
-  LIBSVM's first-order working-set selection (maximal violating pair);
+  LIBSVM's first-order working-set selection (maximal violating pair),
+  its state updated in place so an iteration costs a fixed number of
+  numpy calls (see :func:`_smo`);
 * linear and RBF kernels;
 * multi-class via one-vs-rest on the decision values;
 * a :class:`StandardScaler` companion, since pattern distances live on
@@ -15,6 +17,9 @@ implements a soft-margin kernel SVM from scratch:
 from __future__ import annotations
 
 import numpy as np
+
+from ..base import check_finite
+from ..obs.metrics import registry
 
 __all__ = ["StandardScaler", "BinarySVM", "SVC"]
 
@@ -61,6 +66,81 @@ def _kernel_matrix(
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
+def _resolve_gamma(gamma: float | str, X: np.ndarray) -> float:
+    """The RBF width: ``'scale'`` is ``1 / (d · Var(X))``, else ``gamma`` itself."""
+    if isinstance(gamma, str):
+        if gamma != "scale":
+            raise ValueError(f"unknown gamma spec {gamma!r}")
+        var = X.var()
+        return 1.0 / (X.shape[1] * var) if var > 1e-12 else 1.0
+    return float(gamma)
+
+
+def _smo(
+    K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Solve the dual by SMO with maximal-violating-pair selection.
+
+    Returns ``(alpha, yg, up, low, iterations)``. The solver state is
+    ``yg = −y ⊙ ∇`` itself rather than the gradient ``∇ = Qα − e``: a
+    step moves it by ``−t·(K[:, i] − K[:, j])``, which is bitwise the
+    gradient update ``+t·y ⊙ (…)`` negated by ``−y`` because ``y = ±1``
+    and IEEE rounding is sign-symmetric (up to the sign of an exact
+    zero, which no comparison sees). The ``I_up``/``I_low`` masks
+    are kept as additive penalties (0 inside the set, ∓∞ outside) that
+    change only at the two rows a step moves, and the pair is the
+    argmax/argmin of ``yg`` plus its penalty — the same first index as
+    the arg-extremes over the masked subsets, since ``x + 0.0 == x``.
+    Each iteration thus costs a fixed handful of numpy calls whatever
+    ``n`` is; α lives in a Python list because only two of its entries
+    are touched per step.
+    """
+    n = y.shape[0]
+    KT = np.ascontiguousarray(K.T)  # row k is the column K[:, k]
+    diag = K.diagonal().tolist()
+    ys = y.tolist()
+    alpha = [0.0] * n
+    yg = y.copy()  # −y ⊙ ∇ with ∇ = −e at α = 0
+    inf = float("inf")
+    # I_up: α can increase along +y; I_low: can decrease. At α = 0 these
+    # are the positive and the negative rows.
+    pen_up = np.where(y > 0, 0.0, -inf)
+    pen_low = np.where(y > 0, inf, 0.0)
+    scores = np.empty(n)
+    step = np.empty(n)
+    it = 0
+    for it in range(1, max_iter + 1):
+        i = int(np.add(yg, pen_up, out=scores).argmax())
+        j = int(np.add(yg, pen_low, out=scores).argmin())
+        if pen_up[i] or pen_low[j]:  # an empty set: nothing can move
+            break
+        gap = float(yg[i]) - float(yg[j])
+        if gap < tol:
+            break
+        # Two-variable subproblem along the feasible direction
+        # (α_i moves by +y_i·t, α_j by −y_j·t, preserving yᵀα = 0).
+        quad = diag[i] + diag[j] - 2.0 * KT[j, i]
+        if quad <= 1e-12:
+            quad = 1e-12
+        delta = gap / quad
+        t_max_i = (C - alpha[i]) if ys[i] > 0 else alpha[i]
+        t_max_j = alpha[j] if ys[j] > 0 else (C - alpha[j])
+        t = min(delta, t_max_i, t_max_j)
+        if t <= 0:
+            break
+        alpha[i] += ys[i] * t
+        alpha[j] -= ys[j] * t
+        np.subtract(KT[i], KT[j], out=step)
+        step *= t
+        yg -= step
+        for k in (i, j):
+            a = alpha[k]
+            can_grow, can_shrink = (a < C, a > 0) if ys[k] > 0 else (a > 0, a < C)
+            pen_up[k] = 0.0 if can_grow else -inf
+            pen_low[k] = 0.0 if can_shrink else inf
+    return np.array(alpha), yg, pen_up == 0.0, pen_low == 0.0, it
+
+
 class BinarySVM:
     """Soft-margin binary SVM; labels must be -1 / +1.
 
@@ -91,69 +171,46 @@ class BinarySVM:
         self.gamma_: float = 1.0
         self.iterations_: int = 0
 
-    def _resolve_gamma(self, X: np.ndarray) -> float:
-        if isinstance(self.gamma, str):
-            if self.gamma != "scale":
-                raise ValueError(f"unknown gamma spec {self.gamma!r}")
-            var = X.var()
-            return 1.0 / (X.shape[1] * var) if var > 1e-12 else 1.0
-        return float(self.gamma)
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BinarySVM":
         """Fit the model on training series ``X`` with labels ``y``."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise ValueError("X must be (n, d) and y (n,)")
+        check_finite(X)
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
         if np.unique(y).size < 2:
             raise ValueError("both classes must be present")
-        n = X.shape[0]
-        self.gamma_ = self._resolve_gamma(X)
-        K = _kernel_matrix(X, X, self.kernel, self.gamma_)
+        gamma = _resolve_gamma(self.gamma, X)
+        return self._fit_kernel(X, y, _kernel_matrix(X, X, self.kernel, gamma), gamma)
 
-        alpha = np.zeros(n)
-        grad = -np.ones(n)  # G = Qα − e with α = 0
+    def _fit_kernel(
+        self, X: np.ndarray, y: np.ndarray, K: np.ndarray, gamma: float
+    ) -> "BinarySVM":
+        """Fit on validated ``X``/``y`` given their kernel matrix ``K``.
+
+        :class:`SVC` shares one ``K`` (built with the resolved
+        ``gamma``) across its one-vs-rest machines through this path.
+        """
+        self.gamma_ = gamma
         C = self.C
-        it = 0
-        for it in range(1, self.max_iter + 1):
-            # I_up: α can increase along +y; I_low: can decrease.
-            up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-            low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-            if not up.any() or not low.any():
-                break
-            yg = -y * grad
-            i = int(np.flatnonzero(up)[np.argmax(yg[up])])
-            j = int(np.flatnonzero(low)[np.argmin(yg[low])])
-            if yg[i] - yg[j] < self.tol:
-                break
-            # Two-variable subproblem along the feasible direction
-            # (α_i moves by +y_i·t, α_j by −y_j·t, preserving yᵀα = 0).
-            quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
-            if quad <= 1e-12:
-                quad = 1e-12
-            delta = (yg[i] - yg[j]) / quad
-            t_max_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
-            t_max_j = alpha[j] if y[j] > 0 else (C - alpha[j])
-            t = min(delta, t_max_i, t_max_j)
-            if t <= 0:
-                break
-            alpha[i] += y[i] * t
-            alpha[j] -= y[j] * t
-            # ΔG = Q[:, i]·Δα_i + Q[:, j]·Δα_j = t · y ⊙ (K[:, i] − K[:, j]).
-            grad += t * y * (K[:, i] - K[:, j])
+        alpha, yg, up, low, it = _smo(K, y, C, self.tol, self.max_iter)
         self.iterations_ = it
+        registry().inc("svm.smo_iterations", it)
 
         # Bias from the KKT conditions: average over free vectors.
         free = (alpha > 1e-8) & (alpha < C - 1e-8)
-        decision_wo_bias = (alpha * y) @ K
         if free.any():
+            decision_wo_bias = (alpha * y) @ K
             self.bias_ = float(np.mean(y[free] - decision_wo_bias[free]))
         else:
-            up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-            low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-            yg = -y * grad
+            # Signed zeros: an exact cancellation leaves +0.0 in `yg`,
+            # where −y ⊙ ∇ gives −0.0 on positive rows. The gradient
+            # itself is never −0.0 (it starts at −1 and only gains
+            # sums), so "+ 0.0" recovers it bit for bit, and the bias
+            # keeps the sign of zero the gradient form gives it.
+            yg = -y * (-y * yg + 0.0)
             hi = yg[up].max() if up.any() else 0.0
             lo = yg[low].min() if low.any() else 0.0
             self.bias_ = float((hi + lo) / 2.0)
@@ -169,6 +226,7 @@ class BinarySVM:
         if self.support_vectors_ is None or self.support_coef_ is None:
             raise RuntimeError("BinarySVM used before fit()")
         X = np.asarray(X, dtype=float)
+        check_finite(X)
         if self.support_vectors_.shape[0] == 0:
             return np.full(X.shape[0], self.bias_)
         K = _kernel_matrix(X, self.support_vectors_, self.kernel, self.gamma_)
@@ -207,17 +265,27 @@ class SVC:
         self.scaler_: StandardScaler | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "SVC":
-        """Fit the model on training series ``X`` with labels ``y``."""
+        """Fit the model on training series ``X`` with labels ``y``.
+
+        Every one-vs-rest machine sees the same (scaled) ``X`` and hence
+        the same resolved gamma and kernel matrix, so ``K`` is computed
+        once and shared by all of them.
+        """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y disagree on the number of instances")
+        if X.ndim != 2 or y.ndim != 1:
+            raise ValueError("X must be (n, d) and y (n,)")
+        check_finite(X)
         if self.scale:
             self.scaler_ = StandardScaler()
             X = self.scaler_.fit_transform(X)
         self.classes_ = np.unique(y)
         if self.classes_.size < 2:
             raise ValueError("need at least two classes")
+        gamma = _resolve_gamma(self.gamma, X)
+        K = _kernel_matrix(X, X, self.kernel, gamma)
         self.machines_ = []
         for label in self.classes_:
             target = np.where(y == label, 1.0, -1.0)
@@ -228,7 +296,7 @@ class SVC:
                 tol=self.tol,
                 max_iter=self.max_iter,
             )
-            machine.fit(X, target)
+            machine._fit_kernel(X, target, K, gamma)
             self.machines_.append(machine)
         return self
 

@@ -1,12 +1,13 @@
 """Shared reference oracles and tolerance-aware assert helpers.
 
-Three families live here: the distance oracles below, the refinement
+Four families live here: the distance oracles below, the refinement
 oracles (a copy-shrinking agglomeration and a bisection that
 re-agglomerates every group), which the single-dendrogram refinement in
-:mod:`repro.cluster` must match bit for bit, and the candidate-by-
-candidate de-duplication at the end of the module, which
+:mod:`repro.cluster` must match bit for bit, the candidate-by-
+candidate de-duplication, which
 :func:`repro.core.selection.remove_similar` must match element by
-element.
+element, and the mask-rebuilding SMO solver at the end of the module,
+which :class:`repro.ml.svm.BinarySVM` must match bit for bit.
 
 The optimized kernels (mat-vec and FFT alike) are pinned against the
 one implementation slow enough to be obviously correct: z-normalize
@@ -45,6 +46,7 @@ from repro.cluster.refine import (
 from repro.core.patterns import PatternCandidate
 from repro.distance.best_match import batch_best_distances
 from repro.distance.euclidean import pairwise_euclidean
+from repro.ml.svm import BinarySVM, _kernel_matrix, _resolve_gamma
 from repro.grammar.inference import discretize_class, induce_motifs
 from repro.runtime.kernel import (
     PrenormalizedPattern,
@@ -68,6 +70,7 @@ __all__ = [
     "recursive_bisect_refine",
     "refine_every_motif",
     "banked_remove_similar",
+    "masked_smo_fit",
 ]
 
 #: Shared tolerance model for cross-backend distance comparisons.
@@ -425,3 +428,85 @@ def banked_remove_similar(
                 candidate.values
             )
     return kept
+
+
+# -- SMO oracle ---------------------------------------------------------------
+
+
+def masked_smo_fit(
+    X: np.ndarray,
+    y: np.ndarray,
+    *,
+    C: float = 1.0,
+    kernel: str = "rbf",
+    gamma: float | str = "scale",
+    tol: float = 1e-3,
+    max_iter: int = 20000,
+) -> BinarySVM:
+    """A :class:`BinarySVM` fitted by SMO that rebuilds every mask per step.
+
+    Each iteration recomputes the ``I_up``/``I_low`` masks and
+    ``yg = -y ⊙ ∇`` from scratch over all ``n`` rows and picks the
+    maximal violating pair through boolean-indexed copies. The library
+    solver keeps ``yg`` as its state and updates the masks only at the
+    two indices a step changes; its ``alpha_``, ``bias_``,
+    ``iterations_``, ``support_vectors_`` and ``support_coef_`` must be
+    bitwise equal to this one's.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    machine = BinarySVM(C=C, kernel=kernel, gamma=gamma, tol=tol, max_iter=max_iter)
+    n = X.shape[0]
+    machine.gamma_ = _resolve_gamma(machine.gamma, X)
+    K = _kernel_matrix(X, X, machine.kernel, machine.gamma_)
+
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # G = Qα − e with α = 0
+    C = machine.C
+    it = 0
+    for it in range(1, machine.max_iter + 1):
+        # I_up: α can increase along +y; I_low: can decrease.
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        if not up.any() or not low.any():
+            break
+        yg = -y * grad
+        i = int(np.flatnonzero(up)[np.argmax(yg[up])])
+        j = int(np.flatnonzero(low)[np.argmin(yg[low])])
+        if yg[i] - yg[j] < machine.tol:
+            break
+        # Two-variable subproblem along the feasible direction
+        # (α_i moves by +y_i·t, α_j by −y_j·t, preserving yᵀα = 0).
+        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if quad <= 1e-12:
+            quad = 1e-12
+        delta = (yg[i] - yg[j]) / quad
+        t_max_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
+        t_max_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        t = min(delta, t_max_i, t_max_j)
+        if t <= 0:
+            break
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        # ΔG = Q[:, i]·Δα_i + Q[:, j]·Δα_j = t · y ⊙ (K[:, i] − K[:, j]).
+        grad += t * y * (K[:, i] - K[:, j])
+    machine.iterations_ = it
+
+    # Bias from the KKT conditions: average over free vectors.
+    free = (alpha > 1e-8) & (alpha < C - 1e-8)
+    decision_wo_bias = (alpha * y) @ K
+    if free.any():
+        machine.bias_ = float(np.mean(y[free] - decision_wo_bias[free]))
+    else:
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        yg = -y * grad
+        hi = yg[up].max() if up.any() else 0.0
+        lo = yg[low].min() if low.any() else 0.0
+        machine.bias_ = float((hi + lo) / 2.0)
+
+    support = alpha > 1e-8
+    machine.alpha_ = alpha
+    machine.support_vectors_ = X[support]
+    machine.support_coef_ = (alpha * y)[support]
+    return machine

@@ -202,6 +202,32 @@ class TestCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
 
+    def test_classify_marks_non_finite_rows(self, tmp_path, tiny_gun, capsys):
+        from repro import RPMClassifier, SaxParams
+        from repro.core.io import save_model
+
+        clf = RPMClassifier(sax_params=SaxParams(24, 4, 4), seed=0)
+        model_path = save_model(
+            clf.fit(tiny_gun.X_train, tiny_gun.y_train), tmp_path / "model.npz"
+        )
+        good, bad = tiny_gun.X_test[0], tiny_gun.X_test[1].copy()
+        bad[5] = np.nan
+        data = tmp_path / "data.txt"
+        data.write_text(
+            "".join("0 " + " ".join(f"{v:.6f}" for v in row) + "\n" for row in (good, bad))
+        )
+        expected_label = clf.predict(np.loadtxt(data)[:1, 1:])[0]
+
+        assert main(["classify", str(model_path), str(data)]) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert lines == [f"0\t{expected_label}", "1\t<invalid:non-finite>"]
+        assert "1/2 rows failed" in captured.err
+
+        # The serving path labels the same file the same way.
+        assert main(["predict", "--model", str(model_path), str(data)]) == 3
+        assert capsys.readouterr().out.strip().splitlines() == lines
+
     def test_evaluate_baseline(self, capsys):
         rc = main(["evaluate", "ItalyPowerSim", "--method", "NN-ED"])
         assert rc == 0
